@@ -727,9 +727,9 @@ let run_lp_micro () =
         ns_per
           (fun () ->
             for _ = 1 to sweeps do
-              Mat.scale_row m 0 1.0000001;
+              Mat.row_scale_inv_ip m ~row:0 ~col:0;
               for r = 1 to rows - 1 do
-                Mat.add_scaled_row m ~src:0 ~dst:r 1e-9
+                Mat.row_axpy_ip m ~col:0 ~src:0 ~dst:r
               done
             done)
           (sweeps * rows)

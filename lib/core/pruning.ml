@@ -103,24 +103,55 @@ module Store = struct
      anchor) it still certifies — a scalar product decides, and an LP is
      re-issued only when the certificate died.  Pruned candidates never
      re-enter (the filtered dataset is what flows to the next round), so
-     prune decisions are monotone by construction. *)
+     prune decisions are monotone by construction.
+
+     Each witness is stamped with the cut list it was last checked
+     against in full ([verified]; [[]] until its first check).  A region's
+     cut list is its parent's list with one halfspace consed on, so when
+     the stamp is a physical suffix of the current list, the point is
+     already known to satisfy every cut of the stamp, and only the cuts in
+     front of it need a test (see [still_in_region]). *)
+  type witness = { point : Vec.t; mutable verified : Halfspace.t list }
+
   type t = {
-    pair_witnesses : (int * int, Vec.t) Hashtbl.t;
+    pair_witnesses : (int * int, witness) Hashtbl.t;
         (* (candidate id, anchor id) -> region point v with
            ((1+eps) b - a) . v >= -tol, i.e. "a cannot prune b" *)
-    floor_witnesses : (int, float * Vec.t) Hashtbl.t;
+    floor_witnesses : (int, float * witness) Hashtbl.t;
         (* anchor id -> (min a.v over the region, minimizing point) *)
+    full_recheck : bool;  (* ignore stamps: the test oracle *)
   }
 
-  let create () =
-    { pair_witnesses = Hashtbl.create 64; floor_witnesses = Hashtbl.create 8 }
+  let create ?(full_recheck = false) () =
+    { pair_witnesses = Hashtbl.create 64; floor_witnesses = Hashtbl.create 8;
+      full_recheck }
+
+  let witness point = { point; verified = [] }
 end
 
 (* Is this cached point still inside the region?  (Cached points came from
    LP solves over an ancestor region, so they are on the simplex already;
-   only the cuts can invalidate them.) *)
-let point_in_cuts poly p =
-  List.for_all (fun h -> Halfspace.satisfies h p) (Polytope.halfspaces poly)
+   only the cuts can invalidate them.)  The walk tests the current cuts
+   newest first and stops early only on reaching the witness's stamp —
+   a list whose every cut the point already passed — so the verdict is
+   always the one the full [List.for_all] over the cuts gives: a stamp
+   that is not on the current chain is never met, and the walk then tests
+   every cut.  A passing witness is restamped with the current list.  The
+   [full_recheck] oracle tests every cut without looking at stamps. *)
+let still_in_region (s : Store.t) poly (w : Store.witness) =
+  let cuts = Polytope.halfspaces poly in
+  let rec walk = function
+    | l when l == w.verified -> true
+    | [] -> true
+    | h :: rest -> Halfspace.satisfies h w.point && walk rest
+  in
+  let inside =
+    if s.full_recheck then
+      List.for_all (fun h -> Halfspace.satisfies h w.point) cuts
+    else walk cuts
+  in
+  if inside then w.verified <- cuts;
+  inside
 
 (* Above this size the anchor sort is replaced by a top-k selection scan
    over the columnar store (no boxed (score, tuple) array, no O(n log n)
@@ -194,7 +225,7 @@ let floor_over_pool ?store poly pool =
         match store with
         | Some (s : Store.t) when use_store ->
           (match Hashtbl.find_opt s.floor_witnesses (Tuple.id a) with
-          | Some (v, p) when point_in_cuts poly p ->
+          | Some (v, w) when still_in_region s poly w ->
             Counter.incr c_store_hits;
             Some v
           | _ -> None)
@@ -216,7 +247,8 @@ let floor_over_pool ?store poly pool =
           in
           (match store with
           | Some s ->
-            Hashtbl.replace s.floor_witnesses (Tuple.id a) (min_v, min_p)
+            Hashtbl.replace s.floor_witnesses (Tuple.id a)
+              (min_v, Store.witness min_p)
           | None -> ());
           Float.max acc min_v
         | [] -> (
@@ -224,7 +256,9 @@ let floor_over_pool ?store poly pool =
           match Polytope.minimize poly (Tuple.values a) with
           | Some (v, p) ->
             (match store with
-            | Some s -> Hashtbl.replace s.floor_witnesses (Tuple.id a) (v, p)
+            | Some s ->
+              Hashtbl.replace s.floor_witnesses (Tuple.id a)
+                (v, Store.witness p)
             | None -> ());
             Float.max acc v
           | None -> acc)))
@@ -289,7 +323,8 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
       match store with
       | Some (s : Store.t) when use_store ->
         (match Hashtbl.find_opt s.pair_witnesses (b_id, a_id) with
-        | Some p when point_in_cuts poly p && Vec.dot w p >= -.tol ->
+        | Some wit
+          when still_in_region s poly wit && Vec.dot w wit.point >= -.tol ->
           Counter.incr c_store_hits;
           true
         | Some _ ->
@@ -298,10 +333,17 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
         | None -> false)
       | _ -> false
     in
-    let remember b_id a_id p =
+    let remember b_id a_id w =
       match store with
-      | Some s when use_store -> Hashtbl.replace s.pair_witnesses (b_id, a_id) p
+      | Some s when use_store -> Hashtbl.replace s.pair_witnesses (b_id, a_id) w
       | _ -> ()
+    in
+    (* One stamped record per region witness, shared by every pair it
+       certifies: a stamp says which cuts the point satisfies, whatever the
+       pair, so one check restamps them all — and the store holds a
+       pointer per pair instead of a record. *)
+    let witness_records =
+      if use_pair_store then List.map Store.witness witnesses else []
     in
     (* Hot-loop scratch: [scaled] and [w] are filled in place per
        candidate / per anchor with the exact per-element expressions of
@@ -451,9 +493,11 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
               Counter.incr c_witness_hits;
               if use_pair_store then
                 (match
-                   List.find_opt (fun v -> Vec.dot w v >= -.tol) witnesses
+                   List.find_opt
+                     (fun (r : Store.witness) -> Vec.dot w r.point >= -.tol)
+                     witness_records
                  with
-                | Some v -> remember b_id (Tuple.id a) v
+                | Some r -> remember b_id (Tuple.id a) r
                 | None -> ());
               false
             end
@@ -471,7 +515,7 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
               | Some (m, p) ->
                 if m < -.tol then true
                 else begin
-                  remember b_id (Tuple.id a) p;
+                  remember b_id (Tuple.id a) (Store.witness p);
                   false
                 end
               | None -> false

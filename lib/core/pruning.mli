@@ -45,9 +45,17 @@ module Store : sig
   (** Cross-round prune certificates for one interaction: per-anchor
       utility-floor minimizers and per-(candidate, anchor) non-prunability
       witness points.  Sound to reuse because regions only shrink; see the
-      module preamble.  Not thread-safe — use one store per session. *)
+      module preamble.  Not thread-safe — use one store per session.
 
-  val create : unit -> t
+      Each witness remembers the cut list it was last verified against,
+      so a later round re-tests only the cuts added since; every verdict
+      is the one a test against every cut gives. *)
+
+  val create : ?full_recheck:bool -> unit -> t
+  (** [full_recheck] (default [false]) ignores the verification stamps and
+      re-tests every witness against every cut: the reference the stamped
+      revalidation is checked against in the tests.  Decisions and
+      counters are identical either way. *)
 end
 
 val region_prune :

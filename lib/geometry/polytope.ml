@@ -59,6 +59,31 @@ type extreme = { value : float; witness : Vec.t }
    the legacy cold two-phase solver instead. *)
 type frozen = Tableau of Lp.Live.t | Empty | Fallback
 
+(* Per-domain scratch targets for query forks.  A value query forks the
+   frozen tableau ([Lp.Live.fork]), pivots on the fork and drops it before
+   returning — only floats and freshly extracted points escape — so a few
+   reusable handles per domain serve every query: a fork onto a
+   same-shape handle is a blit instead of a fresh Bigarray grid.  A
+   tableau's capacity grows with its depth, and one round queries regions
+   of a few depths (the region, its display-set children), so the slots
+   keep the [scratch_slots] most recently used shapes.  No query forks
+   while another fork on its domain is still in use (queries do not nest
+   inside a fork's lifetime), and the slots are domain-local, so no two
+   domains ever share a scratch.  Frozen tableaux are never put here:
+   [frozen_via] keeps real copies. *)
+let scratch_slots = 4
+
+let scratch_key : Lp.Live.t list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let scratch_fork fh =
+  let slots = Domain.DLS.get scratch_key in
+  let into = List.find_opt (Lp.Live.same_shape fh) !slots in
+  let fork = Lp.Live.fork ?into fh in
+  let others = List.filter (fun s -> s != fork) !slots in
+  slots := fork :: List.filteri (fun i _ -> i < scratch_slots - 1) others;
+  fork
+
 type artifacts = {
   mutable feas_point : Vec.t option;
   mutable profile : ((float * float) array * Vec.t list) option;
@@ -248,23 +273,22 @@ let known_points r =
          mn.witness :: mx.witness :: acc)
        acc
 
-(* Every ancestor artifact [probe] finds along the cut chain (nearest
-   first), each paired with the halfspaces a witness from that ancestor
-   must satisfy to still be a point of [r]. *)
-let ancestor_candidates r ~probe =
-  let rec go node cuts acc =
-    let acc =
-      match probe node with
-      | Some artifact -> (artifact, cuts) :: acc
-      | None -> acc
-    in
-    match (node.parent, node.cuts) with
-    | Some p, newest :: _ -> go p (newest :: cuts) acc
-    | _ -> List.rev acc
-  in
-  go r [] []
-
 let survives cuts point = List.for_all (fun h -> Halfspace.satisfies h point) cuts
+
+(* The first known point of the nearest ancestor (or [r] itself) that
+   survives the cuts between that ancestor and [r].  The walk goes up the
+   chain and stops at the first hit, so ancestors beyond it never build
+   their point lists. *)
+let surviving_ancestor_point r =
+  let rec go node cuts =
+    match List.find_opt (survives cuts) (known_points node) with
+    | Some _ as hit -> hit
+    | None -> (
+      match (node.parent, node.cuts) with
+      | Some p, newest :: _ -> go p (newest :: cuts)
+      | _ -> None)
+  in
+  go r []
 
 let is_empty r =
   match r.emptiness with
@@ -281,10 +305,7 @@ let is_empty r =
         else
           (* Any ancestor point surviving the interleaving cuts is a point
              of [r]: feasibility settled by dot products alone. *)
-          ancestor_candidates r ~probe:(fun a ->
-              match known_points a with [] -> None | ps -> Some ps)
-          |> List.find_map (fun (points, cuts) ->
-                 List.find_opt (survives cuts) points)
+          surviving_ancestor_point r
       in
       (match cached_point with
       | Some p ->
@@ -358,7 +379,7 @@ let fresh_pair ctx r dir ~adopt_lo ~adopt_hi =
     let hi = match adopt_hi with Some e -> e | None -> cold_side r dir `Maximize in
     (lo, hi)
   | Tableau fh ->
-    let fork = lazy (Lp.Live.copy fh) in
+    let fork = lazy (scratch_fork fh) in
     let side adopt sense =
       match adopt with
       | Some e -> e
@@ -728,8 +749,7 @@ let maximize r c =
     match frozen_via ctx r with
     | Empty -> None
     | Tableau fh -> (
-      let fork = Lp.Live.copy fh in
-      match Lp.Live.optimize fork ~objective:c `Maximize with
+      match Lp.Live.optimize (scratch_fork fh) ~objective:c `Maximize with
       | Lp.Optimal { objective; point } ->
         if r.art.feas_point = None then r.art.feas_point <- Some point;
         Some (objective, point)

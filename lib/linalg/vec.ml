@@ -6,7 +6,13 @@
 
    [Array1.unsafe_get]/[unsafe_set] are confined to this library by lint
    rule IND009: each kernel validates dimensions once up front, after
-   which in-range indexing is structural. *)
+   which in-range indexing is structural.
+
+   Every vector parameter is constrained to [t] in the implementation
+   itself, not only by the interface: the compiler specializes a Bigarray
+   access to a plain load only when the element kind and layout are known
+   where it is compiled, and an unconstrained parameter is polymorphic
+   there, so the access becomes a C call returning a boxed float. *)
 
 open Bigarray
 
@@ -17,6 +23,7 @@ type buffer = (float, float64_elt, c_layout) Array1.t
 let of_buffer (b : buffer) : t = b
 
 let buffer (v : t) : buffer = v
+[@@indq.alloc_free "identity on the representation"]
 
 let dim = Array1.dim [@@indq.alloc_free "alias of the %caml_ba_dim_1 primitive"]
 
@@ -44,7 +51,7 @@ let of_array a = init (Array.length a) (Array.unsafe_get a)
 
 let of_list l = of_array (Array.of_list l)
 
-let to_array v = Array.init (dim v) (Array1.unsafe_get v)
+let to_array (v : t) = Array.init (dim v) (Array1.unsafe_get v)
 
 let to_list v = Array.to_list (to_array v)
 
@@ -61,7 +68,7 @@ let set (v : t) i x = Array1.set v i x
 
 let fill (v : t) x = Array1.fill v x
 
-let check_same_dim name a b =
+let check_same_dim name (a : t) (b : t) =
   if dim a <> dim b then
     (invalid_arg (name ^ ": dimension mismatch")
     [@indq.alloc_ok "cold caller-bug path: the message concat and raise \
@@ -83,7 +90,7 @@ let dot a b =
   !acc
 [@@indq.alloc_free "hot kernel: local float accumulator is unboxed"]
 
-let dot_slice flat ~pos u =
+let dot_slice (flat : t) ~pos (u : t) =
   let k = dim u in
   if pos < 0 || pos + k > dim flat then
     invalid_arg "Vec.dot_slice: slice out of range";
@@ -102,9 +109,9 @@ let sub a b =
   check_same_dim "Vec.sub" a b;
   init (dim a) (fun i -> Array1.unsafe_get a i -. Array1.unsafe_get b i)
 
-let scale c a = init (dim a) (fun i -> c *. Array1.unsafe_get a i)
+let scale c (a : t) = init (dim a) (fun i -> c *. Array1.unsafe_get a i)
 
-let neg a = init (dim a) (fun i -> -.Array1.unsafe_get a i)
+let neg (a : t) = init (dim a) (fun i -> -.Array1.unsafe_get a i)
 
 let axpy c x y =
   check_same_dim "Vec.axpy" x y;
@@ -125,7 +132,7 @@ let axpy_ip c x y =
   done
 [@@indq.alloc_free "in-place row elimination kernel of Lp.Live pivots"]
 
-let scale_ip c y =
+let scale_ip c (y : t) =
   for i = 0 to dim y - 1 do
     Array1.unsafe_set y i (c *. Array1.unsafe_get y i)
   done
@@ -133,7 +140,7 @@ let scale_ip c y =
 
 let norm2 a = sqrt (dot a a)
 
-let fold_left f acc a =
+let fold_left f acc (a : t) =
   let acc = ref acc in
   for i = 0 to dim a - 1 do
     acc := f !acc (Array1.unsafe_get a i)
@@ -151,15 +158,15 @@ let normalize a =
 
 let sum a = fold_left ( +. ) 0. a
 
-let max_coord a =
+let max_coord (a : t) =
   if dim a = 0 then invalid_arg "Vec.max_coord: empty vector";
   fold_left Float.max (Array1.unsafe_get a 0) a
 
-let min_coord a =
+let min_coord (a : t) =
   if dim a = 0 then invalid_arg "Vec.min_coord: empty vector";
   fold_left Float.min (Array1.unsafe_get a 0) a
 
-let argmax a =
+let argmax (a : t) =
   if dim a = 0 then invalid_arg "Vec.argmax: empty vector";
   let best = ref 0 in
   for i = 1 to dim a - 1 do
@@ -167,21 +174,21 @@ let argmax a =
   done;
   !best
 
-let map f a = init (dim a) (fun i -> f (Array1.unsafe_get a i))
+let map f (a : t) = init (dim a) (fun i -> f (Array1.unsafe_get a i))
 
-let mapi f a = init (dim a) (fun i -> f i (Array1.unsafe_get a i))
+let mapi f (a : t) = init (dim a) (fun i -> f i (Array1.unsafe_get a i))
 
-let iter f a =
+let iter f (a : t) =
   for i = 0 to dim a - 1 do
     f (Array1.unsafe_get a i)
   done
 
-let iteri f a =
+let iteri f (a : t) =
   for i = 0 to dim a - 1 do
     f i (Array1.unsafe_get a i)
   done
 
-let for_all f a =
+let for_all f (a : t) =
   let ok = ref true in
   (try
      for i = 0 to dim a - 1 do
@@ -195,7 +202,7 @@ let for_all f a =
 
 let exists f a = not (for_all (fun x -> not (f x)) a)
 
-let equal a b =
+let equal (a : t) (b : t) =
   dim a = dim b
   &&
   let ok = ref true in
@@ -205,7 +212,7 @@ let equal a b =
   done;
   !ok
 
-let approx_equal ?tol a b =
+let approx_equal ?tol (a : t) (b : t) =
   dim a = dim b
   && begin
        let ok = ref true in

@@ -4,6 +4,16 @@ module Fault = Indq_fault.Fault
 module Vec = Indq_linalg.Vec
 module Mat = Indq_linalg.Mat
 
+(* The tableau kernels below read and write the flat buffers through the
+   checked [Array1] primitives ([A.get] / [A.set] on [Mat.buffer] /
+   [Vec.buffer]), never through [Vec.get] / [Mat.get]: under dune's dev
+   profile every module is compiled [-opaque], so a call into another
+   compilation unit is never inlined and each float it returns is boxed.
+   The primitives compile to plain loads and stores in every profile, and
+   the row sweeps run through the int-only [Mat] row kernels.  Same
+   operations, same order: no float changes (DESIGN.md §10). *)
+module A = Bigarray.Array1
+
 let c_solves = Counter.make "lp.solves"
 let c_iterations = Counter.make "lp.iterations"
 let c_dual_reopt = Counter.make "lp.dual_reopt"
@@ -64,7 +74,8 @@ exception Bad_pivot of string
    right-hand side in [rhs.(i)]; the variable basic in row i is
    [basis.(i)].  The objective row [obj] holds reduced costs for the
    current basis and [obj_value] the negated objective so far (standard
-   tableau bookkeeping). *)
+   tableau bookkeeping), kept in a one-cell float array so a pivot's
+   update is an unboxed store rather than a boxed mixed-record field. *)
 type tableau = {
   n : int;  (* structural variables *)
   art_start : int;  (* first artificial column *)
@@ -75,7 +86,7 @@ type tableau = {
   mutable rhs : Vec.t;  (* capacity [Mat.rows data] *)
   mutable basis : int array;  (* capacity [Mat.rows data] *)
   mutable obj : Vec.t;  (* capacity [Mat.cols data] *)
-  mutable obj_value : float;
+  obj_value : float array;  (* one cell *)
   mutable iters : int;  (* pivots performed on this tableau *)
   tol : float;
   live : bool;  (* pivots count in lp.dual_pivots, not lp.iterations *)
@@ -169,7 +180,7 @@ let build ~tol ~n ?(reserve = 0) ?(live = false) constraints =
     end
   done;
   { n; art_start; art_end; m; ncols = art_end; data; rhs; basis; obj;
-    obj_value = !obj_value; iters = 0; tol; live }
+    obj_value = [| !obj_value |]; iters = 0; tol; live }
 
 let tableau_corrupt t =
   let bad x = not (Float.is_finite x) in
@@ -189,7 +200,9 @@ let tableau_corrupt t =
 let pivot t ~row ~col =
   Counter.incr (if t.live then c_dual_pivots else c_iterations);
   t.iters <- t.iters + 1;
-  let pivot_value = Mat.get t.data row col in
+  let a = Mat.buffer t.data and w = Mat.cols t.data in
+  let rhs = Vec.buffer t.rhs in
+  let pivot_value = A.get a ((row * w) + col) in
   if
     not
       ((Float.is_finite pivot_value)
@@ -204,107 +217,103 @@ let pivot t ~row ~col =
     [@indq.alloc_ok
       "cold failure path: the exception payload only materializes when \
        the tableau is already corrupt"]);
-  let r =
-    (Mat.row_view t.data row
-    [@indq.alloc_ok
-      "one O(1) view descriptor per pivot, amortized over the O(m*n) \
-       row sweep it enables; the sweep itself stays in-place"])
-  in
-  Vec.scale_ip (1. /. pivot_value) r;
-  Vec.set t.rhs row (Vec.get t.rhs row /. pivot_value);
+  Mat.row_scale_inv_ip t.data ~row ~col;
+  A.set rhs row (A.get rhs row /. pivot_value);
   (* Cells beyond [ncols] are zero in every row and in [obj], so the
      full-capacity kernel sweeps below leave them zero. *)
   for i = 0 to t.m - 1 do
     if i <> row then begin
-      let factor = Mat.get t.data i col in
+      let factor = A.get a ((i * w) + col) in
       if Float.abs factor > 0. then begin
-        Vec.axpy_ip (-.factor) r
-          (Mat.row_view t.data i
-          [@indq.alloc_ok
-            "one O(1) view descriptor per eliminated row, amortized over \
-             the O(n) axpy it feeds"]);
-        Vec.set t.rhs i (Vec.get t.rhs i -. (factor *. Vec.get t.rhs row))
+        Mat.row_axpy_ip t.data ~col ~src:row ~dst:i;
+        A.set rhs i (A.get rhs i -. (factor *. A.get rhs row))
       end
     end
   done;
-  let factor = Vec.get t.obj col in
+  let factor = A.get (Vec.buffer t.obj) col in
   if Float.abs factor > 0. then begin
-    Vec.axpy_ip (-.factor) r t.obj;
-    ((t.obj_value <- t.obj_value -. (factor *. Vec.get t.rhs row))
-    [@indq.alloc_ok
-      "one boxed float per pivot: obj_value lives in a mixed record, so \
-       the store boxes; bounded by the pivot count, not the row sweep"])
+    Mat.row_axpy_into_ip t.data ~col ~src:row t.obj;
+    t.obj_value.(0) <- t.obj_value.(0) -. (factor *. A.get rhs row)
   end;
   t.basis.(row) <- col
 [@@indq.alloc_free
-  "dual-simplex pivot kernel: row normalization and elimination run as \
-   in-place Vec kernels over the flat tableau; the audited exceptions \
-   are the O(1)-per-pivot view descriptors and the obj_value box"]
+  "dual-simplex pivot kernel: flat-buffer reads and the int-only Mat row \
+   kernels; nothing per row or per pivot reaches the heap"]
 
-(* Columns an entering pivot may use: artificials are frozen once phase 1
-   ends, everything else — structural, slack, appended slack — is fair. *)
+(* Columns an entering pivot may use once phase 1 has ended: artificials
+   are frozen, everything else — structural, slack, appended slack — is
+   fair.  In phase 1 ([~phase2:false]) every column is. *)
 let col_allowed t j = j < t.art_start || j >= t.art_end
+[@@indq.alloc_free "two int compares"]
 
 (* Entering column under the requested pivot rule, or -1 at optimality.
    Dantzig picks the most negative reduced cost (smallest index on exact
    ties) — fast, but can cycle on degenerate problems; Bland picks the
    smallest index with a negative reduced cost, which provably terminates. *)
-let entering_column t ~rule ~allowed =
+let entering_column t ~rule ~phase2 =
+  let obj = Vec.buffer t.obj in
   match rule with
   | `Bland ->
     let entering = ref (-1) in
-    (try
-       for j = 0 to t.ncols - 1 do
-         if allowed j && Vec.get t.obj j < -.t.tol then begin
-           entering := j;
-           raise Exit
-         end
-       done
-     with Exit -> ());
+    let j = ref 0 in
+    while !entering < 0 && !j < t.ncols do
+      if ((not phase2) || col_allowed t !j) && A.get obj !j < -.t.tol then
+        entering := !j;
+      incr j
+    done;
     !entering
   | `Dantzig ->
     let entering = ref (-1) in
     let best = ref (-.t.tol) in
     for j = 0 to t.ncols - 1 do
-      if allowed j && Vec.get t.obj j < !best then begin
+      if ((not phase2) || col_allowed t j) && A.get obj j < !best then begin
         entering := j;
-        best := Vec.get t.obj j
+        best := A.get obj j
       end
     done;
     !entering
+[@@indq.alloc_free "reduced-cost scan over the flat objective row"]
 
-(* One simplex run on the current objective row.  [allowed j] restricts the
-   entering columns (used to freeze artificials in phase 2); [fuel] is the
-   remaining pivot budget, shared across phases of one attempt.  Returns
-   [`Optimal], [`Unbounded], or [`Budget] when the fuel runs out with the
-   tableau still improvable. *)
-let solve_phase t ~rule ~allowed ~fuel =
+(* Primal ratio test for entering column [col]: the leaving row, with the
+   Bland tie-break on the smallest basic variable index, or -1 when no row
+   bounds the column (unbounded). *)
+let ratio_row t col =
+  let best_row = ref (-1) in
+  let best_ratio = ref infinity in
+  let cells = Mat.buffer t.data and w = Mat.cols t.data in
+  let rhs = Vec.buffer t.rhs in
+  for i = 0 to t.m - 1 do
+    let a = A.get cells ((i * w) + col) in
+    if a > t.tol then begin
+      let ratio = A.get rhs i /. a in
+      if
+        ratio < !best_ratio -. t.tol
+        || (Float.abs (ratio -. !best_ratio) <= t.tol
+           && (!best_row < 0 || t.basis.(i) < t.basis.(!best_row)))
+      then begin
+        best_row := i;
+        best_ratio := ratio
+      end
+    end
+  done;
+  !best_row
+[@@indq.alloc_free "column scan over the flat tableau and rhs"]
+
+(* One simplex run on the current objective row.  [~phase2] freezes the
+   artificial columns; [fuel] is the remaining pivot budget, shared across
+   phases of one attempt.  Returns [`Optimal], [`Unbounded], or [`Budget]
+   when the fuel runs out with the tableau still improvable. *)
+let solve_phase t ~rule ~phase2 ~fuel =
   let rec iterate () =
-    let col = entering_column t ~rule ~allowed in
+    let col = entering_column t ~rule ~phase2 in
     if col < 0 then `Optimal
     else if !fuel <= 0 then `Budget
     else begin
-      (* Ratio test; Bland tie-break on smallest basic variable index. *)
-      let best_row = ref (-1) in
-      let best_ratio = ref infinity in
-      for i = 0 to t.m - 1 do
-        let a = Mat.get t.data i col in
-        if a > t.tol then begin
-          let ratio = Vec.get t.rhs i /. a in
-          if
-            ratio < !best_ratio -. t.tol
-            || (Float.abs (ratio -. !best_ratio) <= t.tol
-               && (!best_row < 0 || t.basis.(i) < t.basis.(!best_row)))
-          then begin
-            best_row := i;
-            best_ratio := ratio
-          end
-        end
-      done;
-      if !best_row < 0 then `Unbounded
+      let row = ratio_row t col in
+      if row < 0 then `Unbounded
       else begin
         decr fuel;
-        pivot t ~row:!best_row ~col;
+        pivot t ~row ~col;
         iterate ()
       end
     end
@@ -316,66 +325,80 @@ let solve_phase t ~rule ~allowed ~fuel =
    then has all-zero structural coefficients and never constrains phase 2
    because artificial columns are frozen. *)
 let expel_artificials t =
+  let cells = Mat.buffer t.data and w = Mat.cols t.data in
   for i = 0 to t.m - 1 do
     if t.basis.(i) >= t.art_start && t.basis.(i) < t.art_end then begin
       let col = ref (-1) in
-      (try
-         for j = 0 to t.art_start - 1 do
-           if Float.abs (Mat.get t.data i j) > t.tol then begin
-             col := j;
-             raise Exit
-           end
-         done
-       with Exit -> ());
+      let j = ref 0 in
+      while !col < 0 && !j < t.art_start do
+        if Float.abs (A.get cells ((i * w) + !j)) > t.tol then col := !j;
+        incr j
+      done;
       if !col >= 0 then pivot t ~row:i ~col:!col
     end
   done
 
 let extract_point t =
-  let x = Vec.make t.n 0. in
+  let x =
+    (Vec.make t.n 0.
+    [@indq.alloc_ok "the result point: the one allocation a solve returns"])
+  in
+  let xb = Vec.buffer x and rhs = Vec.buffer t.rhs in
   for i = 0 to t.m - 1 do
     let b = t.basis.(i) in
-    if b < t.n then Vec.set x b (Vec.get t.rhs i)
+    if b < t.n then A.set xb b (A.get rhs i)
   done;
   x
+[@@indq.alloc_free "basic-solution read-out over the flat rhs"]
 
 (* The optimal solution of a finished tableau, validated finite: corrupted
    arithmetic that slipped past the per-pivot guard is caught here instead
    of leaking NaN into geometry. *)
 let final_solution t =
-  let objective = -.t.obj_value in
+  let objective = -.t.obj_value.(0) in
   let point = extract_point t in
   if Float.is_finite objective && Vec.for_all Float.is_finite point then
     Ok { objective; point }
   else Error "non-finite optimal solution"
 
 (* Install a fresh objective (phase 2) and express it in terms of the current
-   basis. *)
-let install_objective t cost =
-  let obj = Vec.make (Mat.cols t.data) 0. in
-  Vec.blit ~src:cost ~dst:(Vec.sub_view obj ~pos:0 ~len:t.n);
+   basis.  The internal sense is always minimization, so a maximization
+   installs the negated objective ([-.c], the coordinates of [Vec.neg c]).
+   The objective row is overwritten in place: no tableau shares it. *)
+let install_objective t direction objective =
+  let obj = Vec.buffer t.obj and c = Vec.buffer objective in
+  for j = 0 to A.dim obj - 1 do
+    A.set obj j 0.
+  done;
+  (match direction with
+  | `Minimize ->
+    for j = 0 to t.n - 1 do
+      A.set obj j (A.get c j)
+    done
+  | `Maximize ->
+    for j = 0 to t.n - 1 do
+      A.set obj j (-.A.get c j)
+    done);
+  let rhs = Vec.buffer t.rhs in
   let obj_value = ref 0. in
   for i = 0 to t.m - 1 do
     let b = t.basis.(i) in
-    if Float.abs (Vec.get obj b) > 0. then begin
-      let factor = Vec.get obj b in
-      Vec.axpy_ip (-.factor) (Mat.row_view t.data i) obj;
-      obj_value := !obj_value -. (factor *. Vec.get t.rhs i)
+    let factor = A.get obj b in
+    if Float.abs factor > 0. then begin
+      Mat.row_axpy_into_ip t.data ~col:b ~src:i t.obj;
+      obj_value := !obj_value -. (factor *. A.get rhs i)
     end
   done;
-  t.obj <- obj;
-  t.obj_value <- !obj_value
+  t.obj_value.(0) <- !obj_value
+[@@indq.alloc_free
+  "objective install over the flat buffers, in place: the row is \
+   overwritten, never reallocated"]
 
 (* Default pivot budget: generous for the small problems this solver sees
    (d <= 10 variables, a few dozen constraints need well under a hundred
    pivots), yet finite, so a degenerate cycle under the Dantzig rule is cut
    off and retried under Bland instead of spinning forever. *)
 let default_budget ~n ~m = 1000 + (50 * (n + (3 * m)))
-
-let internal_cost direction objective =
-  match direction with
-  | `Minimize -> objective
-  | `Maximize -> Vec.neg objective
 
 let finish direction outcome =
   match (direction, outcome) with
@@ -384,13 +407,17 @@ let finish direction outcome =
   | _, o -> o
 
 let solve_lp ?(tol = 1e-9) ?max_pivots ~n ~objective direction constraints =
-  let cost = internal_cost direction objective in
   check_inputs ~n objective constraints;
   Counter.incr c_solves;
   let finish o = finish direction o in
   if constraints = [] then begin
     (* Only x >= 0: the minimum is 0 at the origin unless some objective
        coefficient is negative, in which case the problem is unbounded. *)
+    let cost =
+      match direction with
+      | `Minimize -> objective
+      | `Maximize -> Vec.neg objective
+    in
     if Vec.exists (fun c -> c < -.tol) cost then finish Unbounded
     else finish (Optimal { objective = 0.; point = Vec.make n 0. })
   end
@@ -419,7 +446,7 @@ let solve_lp ?(tol = 1e-9) ?max_pivots ~n ~objective direction constraints =
        out mid-pivot; numerical corruption escapes as [Bad_pivot]. *)
     let cold rule fuel =
       let t = build_tableau () in
-      match solve_phase t ~rule ~allowed:(fun _ -> true) ~fuel with
+      match solve_phase t ~rule ~phase2:false ~fuel with
       | `Budget -> `Budget
       | `Unbounded ->
         (* Phase-1 objective (sum of artificials, all bounded below by 0) can
@@ -427,11 +454,11 @@ let solve_lp ?(tol = 1e-9) ?max_pivots ~n ~objective direction constraints =
         `Done (finish Infeasible)
       | `Optimal ->
         (* obj_value holds the negated phase-1 objective. *)
-        if -.t.obj_value > 1e-7 then `Done (finish Infeasible)
+        if -.t.obj_value.(0) > 1e-7 then `Done (finish Infeasible)
         else begin
           expel_artificials t;
-          install_objective t cost;
-          match solve_phase t ~rule ~allowed:(col_allowed t) ~fuel with
+          install_objective t direction objective;
+          match solve_phase t ~rule ~phase2:true ~fuel with
           | `Budget -> `Budget
           | `Unbounded -> `Done (finish Unbounded)
           | `Optimal ->
@@ -490,6 +517,8 @@ module Live = struct
     max_pivots : int option;
     mutable ok : bool;  (* false once the tableau is mid-pivot garbage *)
   }
+  (* [tab]'s immutable fields and capacity pin a handle's shape; [fork]
+     reuses a same-shape handle by overwriting every mutable field. *)
 
   type t = handle
 
@@ -540,8 +569,35 @@ module Live = struct
           rhs = Vec.copy t.rhs;
           basis = Array.copy t.basis;
           obj = Vec.copy t.obj;
+          obj_value = Array.copy t.obj_value;
         };
     }
+
+  (* Same static parameters and the same capacity grid: [into] can take
+     [h]'s state by blits alone. *)
+  let same_shape h into =
+    let t = h.tab and u = into.tab in
+    t.n = u.n && t.art_start = u.art_start
+    && t.art_end = u.art_end && Float.equal t.tol u.tol && t.live = u.live
+    && h.max_pivots = into.max_pivots
+    && Mat.rows t.data = Mat.rows u.data
+    && Mat.cols t.data = Mat.cols u.data
+
+  let fork ?into h =
+    match into with
+    | Some s when s != h && same_shape h s ->
+      let t = h.tab and u = s.tab in
+      A.blit (Mat.buffer t.data) (Mat.buffer u.data);
+      Vec.blit ~src:t.rhs ~dst:u.rhs;
+      Array.blit t.basis 0 u.basis 0 (Array.length t.basis);
+      Vec.blit ~src:t.obj ~dst:u.obj;
+      u.obj_value.(0) <- t.obj_value.(0);
+      u.m <- t.m;
+      u.ncols <- t.ncols;
+      u.iters <- t.iters;
+      s.ok <- h.ok;
+      s
+    | _ -> copy h
 
   let create ?(tol = 1e-9) ?max_pivots ~n constraints =
     check_inputs ~n (Vec.make n 0.) constraints;
@@ -558,14 +614,14 @@ module Live = struct
        to absorb. *)
     let attempt rule =
       let t = build ~tol ~n ~reserve:8 ~live:true constraints in
-      match solve_phase t ~rule ~allowed:(fun _ -> true) ~fuel:(ref budget) with
+      match solve_phase t ~rule ~phase2:false ~fuel:(ref budget) with
       | `Budget -> `Budget
       | `Unbounded -> `Done `Infeasible
       | `Optimal ->
-        if -.t.obj_value > 1e-7 then `Done `Infeasible
+        if -.t.obj_value.(0) > 1e-7 then `Done `Infeasible
         else begin
           expel_artificials t;
-          install_objective t (Vec.make n 0.);
+          install_objective t `Minimize (Vec.make n 0.);
           `Done (`Feasible { tab = t; max_pivots; ok = true })
         end
     in
@@ -582,15 +638,27 @@ module Live = struct
         `Failed (Iteration_limit { budget }))
 
   (* Append one row in <= form with a fresh basic slack, re-expressed in
-     the current basis.  Returns the new row's index. *)
-  let append_le_row t coeffs rhs =
-    ensure_capacity t ~rows:(t.m + 1) ~cols:(t.ncols + 1);
+     the current basis: coefficients [coeffs] and right-hand side [rhs],
+     or, with [~negate], [-.coeffs] and [-.rhs] (the coordinates of
+     [Vec.neg coeffs], without allocating it).  Returns the new row's
+     index. *)
+  let append_le_row t ~negate coeffs rhs =
+    (ensure_capacity t ~rows:(t.m + 1) ~cols:(t.ncols + 1)
+    [@indq.alloc_ok
+      "amortized growth: the grid doubles, so a replay of k cuts \
+       reallocates O(log k) times"]);
     let row_idx = t.m and slack_col = t.ncols in
-    let row = Mat.row_view t.data row_idx in
-    Vec.fill row 0.;
-    Vec.blit ~src:coeffs ~dst:(Vec.sub_view row ~pos:0 ~len:t.n);
-    Vec.set row slack_col 1.;
-    Vec.set t.rhs row_idx rhs;
+    let cells = Mat.buffer t.data and w = Mat.cols t.data in
+    let base = row_idx * w in
+    let c = Vec.buffer coeffs and rhs_cells = Vec.buffer t.rhs in
+    for j = 0 to w - 1 do
+      A.set cells (base + j) 0.
+    done;
+    for j = 0 to t.n - 1 do
+      A.set cells (base + j) (if negate then -.A.get c j else A.get c j)
+    done;
+    A.set cells (base + slack_col) 1.;
+    A.set rhs_cells row_idx (if negate then -.rhs else rhs);
     t.basis.(row_idx) <- slack_col;
     t.m <- t.m + 1;
     t.ncols <- t.ncols + 1;
@@ -599,54 +667,69 @@ module Live = struct
        infeasibility (its value becomes rhs - coeffs . x̄). *)
     for i = 0 to t.m - 2 do
       let b = t.basis.(i) in
-      let f = Vec.get row b in
+      let f = A.get cells (base + b) in
       if Float.abs f > 0. then begin
-        Vec.axpy_ip (-.f) (Mat.row_view t.data i) row;
-        Vec.set t.rhs row_idx
-          (Vec.get t.rhs row_idx -. (f *. Vec.get t.rhs i))
+        Mat.row_axpy_ip t.data ~col:b ~src:i ~dst:row_idx;
+        A.set rhs_cells row_idx
+          (A.get rhs_cells row_idx -. (f *. A.get rhs_cells i))
       end
     done;
     row_idx
+  [@@indq.alloc_free
+    "cut absorption over the flat buffers: one fill, one copy-in and one \
+     Mat row kernel per eliminated basic column"]
 
-  (* Dual simplex: while some row is primal infeasible, pivot it out on the
-     column minimizing |reduced cost / element| over negative elements —
+  (* Dual simplex: while some row is primal infeasible ([leaving_row]),
+     pivot it out on the column minimizing |reduced cost / element| over
+     negative elements ([dual_entering]) —
      reduced costs stay non-negative (dual feasible), the basis walks back
      to primal feasibility.  A row with no negative element certifies
      infeasibility.  Deterministic tie-breaks: most negative rhs then
      lowest row index; lowest column index on ratio ties. *)
+  let leaving_row t =
+    let rhs = Vec.buffer t.rhs in
+    let row = ref (-1) in
+    let worst = ref (-.t.tol) in
+    for i = 0 to t.m - 1 do
+      if A.get rhs i < !worst then begin
+        row := i;
+        worst := A.get rhs i
+      end
+    done;
+    !row
+  [@@indq.alloc_free "most-negative scan over the flat rhs"]
+
+  let dual_entering t row =
+    let cells = Mat.buffer t.data and obj = Vec.buffer t.obj in
+    let base = row * Mat.cols t.data in
+    let col = ref (-1) in
+    let best_ratio = ref infinity in
+    for j = 0 to t.ncols - 1 do
+      if col_allowed t j then begin
+        let a = A.get cells (base + j) in
+        if a < -.t.tol then begin
+          let ratio = A.get obj j /. -.a in
+          if ratio < !best_ratio -. t.tol then begin
+            col := j;
+            best_ratio := ratio
+          end
+        end
+      end
+    done;
+    !col
+  [@@indq.alloc_free "dual ratio test over one flat tableau row"]
+
   let dual_restore t ~fuel =
     let rec iterate pivots =
-      (* Leaving row: most negative rhs. *)
-      let row = ref (-1) in
-      let worst = ref (-.t.tol) in
-      for i = 0 to t.m - 1 do
-        if Vec.get t.rhs i < !worst then begin
-          row := i;
-          worst := Vec.get t.rhs i
-        end
-      done;
-      if !row < 0 then `Feasible pivots
+      let row = leaving_row t in
+      if row < 0 then `Feasible pivots
       else if !fuel <= 0 then `Budget
       else begin
-        let r = Mat.row_view t.data !row in
-        let col = ref (-1) in
-        let best_ratio = ref infinity in
-        for j = 0 to t.ncols - 1 do
-          if col_allowed t j then begin
-            let a = Vec.get r j in
-            if a < -.t.tol then begin
-              let ratio = Vec.get t.obj j /. -.a in
-              if ratio < !best_ratio -. t.tol then begin
-                col := j;
-                best_ratio := ratio
-              end
-            end
-          end
-        done;
-        if !col < 0 then `Infeasible
+        let col = dual_entering t row in
+        if col < 0 then `Infeasible
         else begin
           decr fuel;
-          pivot t ~row:!row ~col:!col;
+          pivot t ~row ~col;
           iterate (pivots + 1)
         end
       end
@@ -663,11 +746,11 @@ module Live = struct
       let t = h.tab in
       (* Express the cut in <= form; an equality contributes both sides. *)
       (match c.relation with
-      | Le -> ignore (append_le_row t c.coeffs c.rhs)
-      | Ge -> ignore (append_le_row t (Vec.neg c.coeffs) (-.c.rhs))
+      | Le -> ignore (append_le_row t ~negate:false c.coeffs c.rhs)
+      | Ge -> ignore (append_le_row t ~negate:true c.coeffs c.rhs)
       | Eq ->
-        ignore (append_le_row t c.coeffs c.rhs);
-        ignore (append_le_row t (Vec.neg c.coeffs) (-.c.rhs)));
+        ignore (append_le_row t ~negate:false c.coeffs c.rhs);
+        ignore (append_le_row t ~negate:true c.coeffs c.rhs));
       let fuel = ref (budget h) in
       let result =
         match dual_restore t ~fuel with
@@ -699,11 +782,10 @@ module Live = struct
       Counter.incr c_dual_reopt;
       let pivots_before = Counter.value c_dual_pivots in
       let t = h.tab in
-      let cost = internal_cost direction objective in
       let result =
         match
-          install_objective t cost;
-          solve_phase t ~rule:`Dantzig ~allowed:(col_allowed t)
+          install_objective t direction objective;
+          solve_phase t ~rule:`Dantzig ~phase2:true
             ~fuel:(ref (budget h))
         with
         | `Optimal -> (

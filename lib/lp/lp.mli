@@ -8,7 +8,8 @@
     dozen constraints — so a dense tableau is both simple and fast.  The
     tableau lives in one flat row-major {!Indq_linalg.Mat.t} buffer, so each
     pivot streams cache-contiguous rows through the
-    {!Indq_linalg.Vec.axpy_ip} / [scale_ip] kernels.
+    {!Indq_linalg.Mat.row_axpy_ip} / [row_scale_inv_ip] kernels, and no
+    pivot, ratio test or objective install allocates.
 
     All structural variables are constrained to be non-negative ([x >= 0]),
     which matches utility vectors [u] in the non-negative orthant.  General
@@ -120,8 +121,9 @@ val is_feasible : ?tol:float -> n:int -> constr list -> bool
     The handle owns a tableau standing at a {i primal-feasible} basis of
     its constraint list (optimal for the last objective it optimized).
     {!add_cut} extends the list by one constraint via the dual simplex;
-    {!copy} forks the tableau so one parent setup is reused across many
-    candidate children (the Lemma 2 batch shape); {!optimize} answers any
+    {!copy} and {!fork} duplicate the tableau so one parent setup is
+    reused across many candidate children (the Lemma 2 batch shape);
+    {!optimize} answers any
     number of objectives over the same list from the standing basis.
 
     Handles are single-domain mutable state and — like every cache in the
@@ -145,7 +147,25 @@ module Live : sig
       exhaustion).  [`Feasible] hands back the live handle. *)
 
   val copy : t -> t
-  (** Fork the tableau: the copy refines independently.  O(rows·cols). *)
+  (** A fresh, independent tableau with the same state: the copy refines
+      on its own.  O(rows·cols), and it allocates a new capacity grid —
+      use it for tableaux that are kept (a region's frozen tableau). *)
+
+  val same_shape : t -> t -> bool
+  (** Whether two handles share the variable count, tolerance, pivot
+      budget and capacity grid — the condition under which {!fork} reuses
+      its target. *)
+
+  val fork : ?into:t -> t -> t
+  (** [fork ~into h] is {!copy} without the allocation, for a throwaway
+      tableau a query pivots on and then drops.  When [into] is not [h]
+      and {!same_shape}[ h into], [h]'s state is blitted over [into] and
+      [into] is returned; otherwise (or without [into]) the result is
+      [copy h].  Either way the result is bit-identical to [copy h] in
+      every later operation, and [h] is not touched.  [into] is
+      overwritten, so the caller must own it: a handle that something
+      else still reads (a frozen tableau, an earlier fork still in use)
+      must never be passed. *)
 
   val n : t -> int
   (** Number of structural variables. *)

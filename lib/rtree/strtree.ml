@@ -181,11 +181,13 @@ let check_box t lo hi name =
 let node_intersects t level j ~lo ~hi =
   Counter.incr c_nodes_visited;
   let d = t.t_dim in
+  let l_lo = Vec.buffer level.l_lo and l_hi = Vec.buffer level.l_hi in
+  let lo = Vec.buffer lo and hi = Vec.buffer hi in
   let ok = ref true in
   for i = 0 to d - 1 do
     if
-      Vec.get level.l_lo ((j * d) + i) > Vec.get hi i
-      || Vec.get lo i > Vec.get level.l_hi ((j * d) + i)
+      Bigarray.Array1.get l_lo ((j * d) + i) > Bigarray.Array1.get hi i
+      || Bigarray.Array1.get lo i > Bigarray.Array1.get l_hi ((j * d) + i)
     then ok := false
   done;
   !ok
@@ -196,10 +198,13 @@ let node_intersects t level j ~lo ~hi =
 let point_in_box t pos ~lo ~hi =
   let d = t.t_dim in
   let base = pos * d in
+  let data = Vec.buffer t.t_data in
+  let lo = Vec.buffer lo and hi = Vec.buffer hi in
   let ok = ref true in
   for i = 0 to d - 1 do
-    let x = Vec.get t.t_data (base + i) in
-    if x < Vec.get lo i || x > Vec.get hi i then ok := false
+    let x = Bigarray.Array1.get data (base + i) in
+    if x < Bigarray.Array1.get lo i || x > Bigarray.Array1.get hi i then
+      ok := false
   done;
   !ok
 [@@indq.alloc_free

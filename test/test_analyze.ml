@@ -46,6 +46,41 @@ let codes ?(modname = "Fixture") src =
 let check_codes name ~expect ?modname src () =
   Alcotest.(check (list string)) name expect (codes ?modname src)
 
+(* Several compilation units, typechecked in order: each later unit sees
+   the earlier ones as toplevel modules, the way separately compiled
+   library modules see each other. *)
+let codes_units units =
+  Lazy.force initialized;
+  let _env, inputs =
+    List.fold_left
+      (fun (env, inputs) (modname, src) ->
+        let lexbuf = Lexing.from_string src in
+        Lexing.set_filename lexbuf (modname ^ ".ml");
+        let parsed = Parse.implementation lexbuf in
+        let str, sg, _names, _shape, _env =
+          try Typemod.type_structure env parsed
+          with exn ->
+            Location.report_exception Format.str_formatter exn;
+            Alcotest.failf "fixture does not typecheck: %s"
+              (Format.flush_str_formatter ())
+        in
+        let env =
+          Env.add_module (Ident.create_persistent modname) Types.Mp_present
+            (Types.Mty_signature sg) env
+        in
+        ( env,
+          { Analyze.in_modname = modname; in_file = modname ^ ".ml";
+            in_structure = str }
+          :: inputs ))
+      (Compmisc.initial_env (), [])
+      units
+  in
+  let findings, _stats = Analyze.run (List.rev inputs) in
+  List.map (fun (f : Analyze.finding) -> f.code) findings
+
+let check_units name ~expect units () =
+  Alcotest.(check (list string)) name expect (codes_units units)
+
 (* --- ANA001: toplevel mutable reached from a pool task ------------------- *)
 
 let ana001_racy =
@@ -152,6 +187,77 @@ let ana002_alloc_ok_clean =
        x + 1
      [@@indq.alloc_free "fixture: hot path is pure int arithmetic"] |}
 
+(* Boxed return across a compilation unit.  Dune's dev profile compiles
+   every module [-opaque], so [@inline] on a float-returning kernel cannot
+   reach a caller in another unit: the call stays a call and boxes its
+   result.  The safe twin reads the element with the primitive itself; the
+   same-unit twin keeps [@inline] trusted. *)
+let ana002_kernel_unit =
+  ( "Kern",
+    {| let get (a : float array) i = Array.get a i
+         [@@inline] [@@indq.alloc_free "fixture: one checked load"] |} )
+
+let ana002_cross_unit_racy =
+  ( "Hot",
+    {| let sum (a : float array) =
+         let acc = ref 0. in
+         for i = 0 to Array.length a - 1 do
+           acc := !acc +. Kern.get a i
+         done;
+         !acc
+       [@@indq.alloc_free "fixture: trusts an inline kernel of another unit"] |} )
+
+let ana002_cross_unit_safe =
+  ( "Hot",
+    {| let sum (a : float array) =
+         let acc = ref 0. in
+         for i = 0 to Array.length a - 1 do
+           acc := !acc +. Array.get a i
+         done;
+         !acc
+       [@@indq.alloc_free "fixture: reads through the primitive"] |} )
+
+(* Same boundary, other direction: a computed float passed to a kernel of
+   another unit is boxed for the call; the twin passes an index and lets
+   the kernel read the float itself (a literal would be a static
+   constant). *)
+let ana002_scale_unit =
+  ( "Kern",
+    {| let scale_by (a : float array) c =
+         for i = 0 to Array.length a - 1 do
+           a.(i) <- c *. a.(i)
+         done
+       [@@indq.alloc_free "fixture: in-place scaling"]
+       let scale_by_inv (a : float array) k =
+         let c = 1. /. a.(k) in
+         for i = 0 to Array.length a - 1 do
+           a.(i) <- c *. a.(i)
+         done
+       [@@indq.alloc_free "fixture: reads its own multiplier"] |} )
+
+let ana002_float_arg_racy =
+  ( "Hot",
+    {| let normalize (a : float array) k = Kern.scale_by a (1. /. a.(k))
+       [@@indq.alloc_free "fixture: passes a computed float across"] |} )
+
+let ana002_float_arg_safe =
+  ( "Hot",
+    {| let normalize (a : float array) k =
+         Kern.scale_by_inv a k;
+         Kern.scale_by a 0.5
+       [@@indq.alloc_free "fixture: an index and a literal cross"] |} )
+
+let ana002_same_unit_inline =
+  {| let get (a : float array) i = Array.get a i
+       [@@inline] [@@indq.alloc_free "fixture: one checked load"]
+     let sum (a : float array) =
+       let acc = ref 0. in
+       for i = 0 to Array.length a - 1 do
+         acc := !acc +. get a i
+       done;
+       !acc
+     [@@indq.alloc_free "fixture: same-unit inline kernel"] |}
+
 (* --- ANA003: attribute payload hygiene ----------------------------------- *)
 
 let ana003_empty =
@@ -218,7 +324,23 @@ let () =
             (check_codes "alloc outside audited subtree" ~expect:[ "ANA002" ]
                ana002_alloc_ok_scoped);
           Alcotest.test_case "alloc_ok clean" `Quick
-            (check_codes "audited cold path" ~expect:[] ana002_alloc_ok_clean)
+            (check_codes "audited cold path" ~expect:[] ana002_alloc_ok_clean);
+          Alcotest.test_case "cross-unit boxed return" `Quick
+            (check_units "inline cannot cross -opaque" ~expect:[ "ANA002" ]
+               [ ana002_kernel_unit; ana002_cross_unit_racy ]);
+          Alcotest.test_case "cross-unit primitive read" `Quick
+            (check_units "flat read twin" ~expect:[]
+               [ ana002_kernel_unit; ana002_cross_unit_safe ]);
+          Alcotest.test_case "cross-unit float argument" `Quick
+            (check_units "computed float boxed for the call"
+               ~expect:[ "ANA002" ]
+               [ ana002_scale_unit; ana002_float_arg_racy ]);
+          Alcotest.test_case "cross-unit index argument" `Quick
+            (check_units "index and literal twin" ~expect:[]
+               [ ana002_scale_unit; ana002_float_arg_safe ]);
+          Alcotest.test_case "same-unit inline" `Quick
+            (check_codes "inline trusted within a unit" ~expect:[]
+               ana002_same_unit_inline)
         ] );
       ( "ana003",
         [ Alcotest.test_case "empty justification" `Quick

@@ -38,6 +38,25 @@ let test_halfspace_slack () =
   let h = Halfspace.ge (vec [| 2.; 0. |]) 1. in
   Alcotest.(check (float 1e-9)) "slack" 0.2 (Halfspace.slack h (vec [| 0.6; 0.4 |]))
 
+(* Allocation probe: the membership test runs once per cut for every
+   cached witness, so it must not touch the minor heap — in particular the
+   dot product must not come back boxed from a call into the linear
+   algebra library (dune's dev profile compiles every module -opaque, so
+   such a call is never inlined). *)
+let test_halfspace_satisfies_allocation () =
+  let h = Halfspace.ge (vec [| 0.3; -0.2; 0.5; 0.1; -0.4; 0.2 |]) 0.01 in
+  let x = vec [| 0.1; 0.2; 0.3; 0.1; 0.2; 0.1 |] in
+  let tol = Some 1e-7 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    if Halfspace.satisfies h x then incr hits;
+    if Halfspace.satisfies ?tol h x then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all inside" 2000 !hits;
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let test_simplex_not_empty () =
   let r = Polytope.simplex 3 in
   Alcotest.(check bool) "non-empty" false (Polytope.is_empty r);
@@ -247,6 +266,8 @@ let () =
           Alcotest.test_case "preference" `Quick test_halfspace_preference;
           Alcotest.test_case "preference delta" `Quick test_halfspace_preference_delta;
           Alcotest.test_case "slack" `Quick test_halfspace_slack;
+          Alcotest.test_case "satisfies allocation" `Quick
+            test_halfspace_satisfies_allocation;
         ] );
       ( "polytope",
         [

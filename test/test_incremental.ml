@@ -178,6 +178,80 @@ let prop_store_preserves_prune_decisions =
       in
       prune_chain (Some (Pruning.Store.create ())) = prune_chain None)
 
+(* Stamped witness revalidation against the full re-check.  A chain of
+   rounds with erring answers — some rounds collapse to an empty region
+   and keep the previous one — and speculative side branches (a sibling
+   region pruned with the same store and then abandoned, so the next
+   round's cut list does not extend the stamps it left).  Every round must
+   keep the same survivors and bump every prune counter by the same
+   amount as a store that ignores its stamps. *)
+let prune_counters =
+  [ "prune.store_hits"; "prune.lp_calls"; "prune.witness_hits";
+    "prune.scalar_hits" ]
+
+let prop_stamped_store_matches_full_recheck =
+  QCheck2.Test.make ~count:25
+    ~name:"prune store: stamped revalidation matches the full re-check"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let d = 2 + Rng.int rng 4 in
+      let data = Generator.anti_correlated rng ~n:(100 + Rng.int rng 200) ~d in
+      let eps = 0.02 +. Rng.float rng 0.2 in
+      let u = Utility.random rng ~d in
+      let rounds =
+        List.init (5 + Rng.int rng 8) (fun _ ->
+            (* One to three losers: a round adds up to three cuts. *)
+            let shown =
+              List.init (2 + Rng.int rng 3) (fun _ ->
+                  Vec.init d (fun _ -> Rng.float rng 1.))
+            in
+            let best =
+              List.fold_left
+                (fun acc p ->
+                  if Utility.value u p > Utility.value u acc then p else acc)
+                (List.hd shown) shown
+            in
+            (* One answer in four errs, so regions can collapse. *)
+            let winner =
+              if Rng.float rng 1. < 0.25 then
+                List.nth shown (Rng.int rng (List.length shown))
+              else best
+            in
+            let branch = Rng.float rng 1. < 0.3 in
+            (shown, winner, branch))
+      in
+      let others shown w = List.filter (fun p -> p != w) shown in
+      let prune_chain store =
+        let region = ref (Region.initial ~d) in
+        let survivors = ref data in
+        List.map
+          (fun (shown, winner, branch) ->
+            if branch then begin
+              (* An answer the user did not give, with as many cuts as the
+                 real one: prune its region with the shared store, then
+                 drop it. *)
+              let alt = List.find (fun p -> p != winner) shown in
+              let side =
+                Region.observe !region ~winner:alt ~losers:(others shown alt)
+              in
+              if not (Region.is_empty side) then
+                ignore (Pruning.region_prune ~store ~eps side !survivors)
+            end;
+            let updated =
+              Region.observe !region ~winner ~losers:(others shown winner)
+            in
+            if not (Region.is_empty updated) then region := updated;
+            let before = List.map Indq_obs.Counter.get prune_counters in
+            survivors := Pruning.region_prune ~store ~eps !region !survivors;
+            let after = List.map Indq_obs.Counter.get prune_counters in
+            (ids !survivors, List.map2 ( -. ) after before))
+          rounds
+      in
+      let full = prune_chain (Pruning.Store.create ~full_recheck:true ()) in
+      let stamped = prune_chain (Pruning.Store.create ()) in
+      full = stamped)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -187,5 +261,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_algo_matches_cold;
           QCheck_alcotest.to_alcotest prop_polytope_matches_cold;
           QCheck_alcotest.to_alcotest prop_store_preserves_prune_decisions;
+          QCheck_alcotest.to_alcotest prop_stamped_store_matches_full_recheck;
         ] );
     ]

@@ -66,6 +66,33 @@ let test_sub_view_aliasing () =
   Vec.scale_ip 2. w;
   check_vec "in-place kernel through view" [| 0.; 18.; 4.; 6.; 4. |] v
 
+(* Allocation probe: a kernel's per-element work stays off the heap.  The
+   call itself may box its float argument or result (a cross-module call
+   under the dev profile), a constant; what must not happen is a box per
+   element, which is what a Bigarray access compiles to when the vector's
+   element kind is not known at the access. *)
+let test_kernel_allocation () =
+  let n = 1024 in
+  let a = Vec.init n (fun i -> float_of_int (i mod 7)) in
+  let b = Vec.init n (fun i -> float_of_int (i mod 5)) in
+  let y = Vec.copy b in
+  let m = Mat.of_rows [| a; b |] in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let per_call name w =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %g words for %d elements" name w n)
+      true (w <= 8.)
+  in
+  per_call "dot" (words (fun () -> ignore (Vec.dot a b)));
+  per_call "axpy_ip" (words (fun () -> Vec.axpy_ip 0.5 a y));
+  per_call "scale_ip" (words (fun () -> Vec.scale_ip 1.5 y));
+  per_call "row_axpy_ip" (words (fun () -> Mat.row_axpy_ip m ~col:3 ~src:0 ~dst:1))
+
 let test_mat_basic () =
   let m = Mat.of_rows [| vec [| 1.; 2. |]; vec [| 3.; 4. |] |] in
   Alcotest.(check int) "rows" 2 (Mat.rows m);
@@ -85,13 +112,20 @@ let test_mat_row_ops () =
   let m = Mat.of_rows [| vec [| 1.; 2. |]; vec [| 3.; 4. |] |] in
   Mat.swap_rows m 0 1;
   check_vec "swapped" [| 3.; 4. |] (Mat.row m 0);
-  Mat.scale_row m 0 2.;
-  check_vec "scaled" [| 6.; 8. |] (Mat.row m 0);
-  Mat.add_scaled_row m ~src:0 ~dst:1 1.;
-  check_vec "added" [| 7.; 10. |] (Mat.row m 1);
-  (* src = dst aliasing: row += c * row must read pre-update values. *)
-  Mat.add_scaled_row m ~src:0 ~dst:0 1.;
-  check_vec "self-add doubles" [| 12.; 16. |] (Mat.row m 0)
+  Mat.row_scale_inv_ip m ~row:0 ~col:1;
+  check_vec "scaled by 1/m[0,1]" [| 0.75; 1. |] (Mat.row m 0);
+  Mat.row_axpy_ip m ~col:1 ~src:0 ~dst:1;
+  check_vec "column 1 eliminated" [| -0.5; 0. |] (Mat.row m 1);
+  let v = vec [| 2.; 4. |] in
+  Mat.row_axpy_into_ip m ~col:1 ~src:0 v;
+  check_vec "into a vector" [| -1.; 0. |] v;
+  (* src = dst aliasing: the multiplier (0.5) and every cell are read
+     before they are written: row += 0.5 * row. *)
+  Mat.row_axpy_ip m ~col:0 ~src:1 ~dst:1;
+  check_vec "aliased rows" [| -0.75; 0. |] (Mat.row m 1);
+  Alcotest.check_raises "row out of range"
+    (Invalid_argument "Mat.row_axpy_ip: index out of range") (fun () ->
+      Mat.row_axpy_ip m ~col:0 ~src:0 ~dst:2)
 
 let test_mat_row_view_aliasing () =
   let m = Mat.of_rows [| vec [| 1.; 2. |]; vec [| 3.; 4. |] |] in
@@ -185,18 +219,27 @@ let prop_mat_row_ops_match_model =
       let r = 1 + Rng.int rng 5 and cdim = 1 + Rng.int rng 5 in
       let model = Array.init r (fun _ -> random_array rng cdim) in
       let m = Mat.of_rows (Array.map vec model) in
-      let c = Rng.in_range rng (-3.) 3. in
+      let col = Rng.int rng cdim in
       let src = Rng.int rng r and dst = Rng.int rng r in
-      (* The pivot step: scale one row, fold it into another (possibly
-         itself — the aliasing case the tableau relies on). *)
-      Mat.scale_row m src c;
+      let obj = random_array rng cdim in
+      let v = vec obj in
+      (* The pivot step: normalize the pivot row by its pivot cell, then
+         eliminate the pivot column from another row (possibly itself —
+         aliasing) and from the objective vector. *)
+      Mat.row_scale_inv_ip m ~row:src ~col;
+      let c = 1. /. model.(src).(col) in
       Array.iteri (fun j x -> model.(src).(j) <- c *. x) (Array.copy model.(src));
-      Mat.add_scaled_row m ~src ~dst c;
+      Mat.row_axpy_ip m ~col ~src ~dst;
       let frozen = Array.copy model.(src) in
+      let f = -.model.(dst).(col) in
       Array.iteri
-        (fun j x -> model.(dst).(j) <- (c *. frozen.(j)) +. x)
+        (fun j x -> model.(dst).(j) <- (f *. frozen.(j)) +. x)
         (Array.copy model.(dst));
-      let ok = ref true in
+      Mat.row_axpy_into_ip m ~col ~src v;
+      let pivot_row = Array.copy model.(src) in
+      let f = -.obj.(col) in
+      Array.iteri (fun j x -> obj.(j) <- (f *. pivot_row.(j)) +. x) (Array.copy obj);
+      let ok = ref (bit_equal_arrays (Vec.to_array v) obj) in
       for i = 0 to r - 1 do
         for j = 0 to cdim - 1 do
           if not (Float.equal (Mat.get m i j) model.(i).(j)) then ok := false
@@ -255,6 +298,7 @@ let () =
           Alcotest.test_case "extrema" `Quick test_extrema;
           Alcotest.test_case "approx equal" `Quick test_approx_equal;
           Alcotest.test_case "sub_view aliasing" `Quick test_sub_view_aliasing;
+          Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
         ] );
       ( "mat",
         [

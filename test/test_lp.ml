@@ -308,6 +308,168 @@ let test_live_copy_isolation () =
       Alcotest.(check bool) "fork tighter" true (f.objective < 2.8 -. 1e-9)
     | _ -> Alcotest.fail "both solves are bounded and feasible")
 
+(* --- Fork onto a reused target ------------------------------------------ *)
+
+(* A region the way the polytope engine builds one: the simplex equality,
+   then random [>=] cuts absorbed one at a time (each keeps a random
+   simplex point inside, so every prefix is feasible). *)
+let random_chain rng ~n ~cuts =
+  let inside = Vec.init n (fun _ -> 0.1 +. Rng.uniform rng) in
+  let total = Vec.sum inside in
+  let inside = Vec.map (fun x -> x /. total) inside in
+  let root = [ Lp.constr (Vec.make n 1.) Lp.Eq 1. ] in
+  match Lp.Live.create ~n root with
+  | `Infeasible | `Failed _ -> Alcotest.fail "the simplex is feasible"
+  | `Feasible h ->
+    let chain = ref [ h ] in
+    for _ = 1 to cuts do
+      let coeffs = Vec.init n (fun _ -> Rng.in_range rng (-1.) 1.) in
+      let offset = Vec.dot coeffs inside -. Rng.in_range rng 0. 0.2 in
+      let next = Lp.Live.copy (List.hd !chain) in
+      (match Lp.Live.add_cut next (Lp.constr coeffs Lp.Ge offset) with
+      | `Sat | `Reopt _ -> ()
+      | `Infeasible | `Failed _ -> Alcotest.fail "the cut keeps a point");
+      chain := next :: !chain
+    done;
+    Array.of_list (List.rev !chain)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let vec_bits_equal a b =
+  Vec.dim a = Vec.dim b
+  && List.for_all2 bits_equal (Vec.to_list a) (Vec.to_list b)
+
+(* Everything observable about a handle after one more query and one more
+   cut: both optima, both points and the standing vertex, bit for bit. *)
+let observe rng n h =
+  let optimum objective =
+    match Lp.Live.optimize h ~objective `Maximize with
+    | Lp.Optimal s -> Some (s.objective, s.point)
+    | _ -> None
+  in
+  let o1 = Vec.init n (fun _ -> Rng.in_range rng (-1.) 1.) in
+  let first = optimum o1 in
+  let cut =
+    Lp.constr (Vec.init n (fun _ -> Rng.in_range rng (-1.) 1.)) Lp.Ge
+      (Rng.in_range rng (-0.3) 0.)
+  in
+  let verdict =
+    match Lp.Live.add_cut h cut with
+    | `Sat -> "sat"
+    | `Reopt k -> "reopt " ^ string_of_int k
+    | `Infeasible -> "infeasible"
+    | `Failed _ -> "failed"
+  in
+  let second =
+    if Lp.Live.usable h then optimum (Vec.init n (fun _ -> Rng.uniform rng))
+    else None
+  in
+  let point = if Lp.Live.usable h then Some (Lp.Live.point h) else None in
+  (first, verdict, second, point)
+
+let observations_equal (f1, v1, s1, p1) (f2, v2, s2, p2) =
+  let opt a b =
+    match (a, b) with
+    | Some (x, p), Some (y, q) -> bits_equal x y && vec_bits_equal p q
+    | None, None -> true
+    | _ -> false
+  in
+  opt f1 f2 && String.equal v1 v2 && opt s1 s2
+  && match (p1, p2) with
+     | Some p, Some q -> vec_bits_equal p q
+     | None, None -> true
+     | _ -> false
+
+(* [fork ~into] must be indistinguishable from [copy]: forks of parents at
+   interleaved depths (so the reused target's shape keeps changing as the
+   capacity grid doubles), each fork then pivoting, growing past its own
+   capacity and answering, bit for bit like a fresh copy of the same
+   parent — and the parent is never disturbed. *)
+let prop_fork_matches_copy =
+  QCheck2.Test.make ~count:40 ~name:"live fork is bit-identical to copy"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 + Rng.int rng 4 in
+      let chain = random_chain rng ~n ~cuts:(10 + Rng.int rng 30) in
+      let scratch = ref None in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let parent = chain.(Rng.int rng (Array.length chain)) in
+        let before = Lp.Live.point parent in
+        let copied = Lp.Live.copy parent in
+        let forked = Lp.Live.fork ?into:!scratch parent in
+        let extra_cuts = Rng.int rng 12 in
+        let query_seed = Rng.int rng 1_000_000 in
+        let run h =
+          let r = Rng.create query_seed in
+          let obs = observe r n h in
+          for _ = 1 to extra_cuts do
+            if Lp.Live.usable h then
+              ignore
+                (Lp.Live.add_cut h
+                   (Lp.constr
+                      (Vec.init n (fun _ -> Rng.in_range r (-1.) 1.))
+                      Lp.Ge (Rng.in_range r (-0.5) (-0.1))))
+          done;
+          (obs, observe r n h)
+        in
+        let (a1, a2) = run copied and (b1, b2) = run forked in
+        if
+          not
+            (observations_equal a1 b1 && observations_equal a2 b2
+            && vec_bits_equal before (Lp.Live.point parent))
+        then ok := false;
+        scratch := Some forked
+      done;
+      !ok)
+
+(* --- Allocation probes -------------------------------------------------- *)
+
+(* Minor words one call allocates, measured after an identical warm-up
+   call (the pivot histogram creates a bucket the first time it sees a
+   pivot count). *)
+let words_of f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. before
+
+(* Re-optimizing a ~40-cut region allocates its result (the point, the
+   solution record, the outcome) and a constant handful of words per call
+   — nothing per tableau row and nothing per pivot: the row sweeps, ratio
+   tests and the objective install run in place over the flat buffers.
+   A fork onto a same-shape target allocates nothing at all. *)
+let test_optimize_allocation () =
+  let rng = Rng.create 42 in
+  let n = 6 in
+  let small = random_chain rng ~n ~cuts:10 in
+  let large = random_chain rng ~n ~cuts:40 in
+  let objective = Vec.init n (fun i -> float_of_int (i + 1)) in
+  let words chain =
+    let parent = chain.(Array.length chain - 1) in
+    (* Built once: [~into:scratch] at the call would allocate the option. *)
+    let into = Some (Lp.Live.copy parent) in
+    let fork_words = words_of (fun () -> Lp.Live.fork ?into parent) in
+    let optimize_words =
+      words_of (fun () ->
+          let h = Lp.Live.fork ?into parent in
+          match Lp.Live.optimize h ~objective `Maximize with
+          | Lp.Optimal _ -> ()
+          | _ -> Alcotest.fail "the region is bounded and feasible")
+    in
+    (fork_words, optimize_words)
+  in
+  let small_fork, small_opt = words small and large_fork, large_opt = words large in
+  Alcotest.(check (float 0.)) "fork onto a same-shape target" 0. small_fork;
+  Alcotest.(check (float 0.)) "fork onto a same-shape target (40 cuts)" 0.
+    large_fork;
+  Alcotest.(check bool)
+    (Printf.sprintf "optimize allocates a small constant (%g words)" large_opt)
+    true (large_opt <= 100.);
+  Alcotest.(check (float 0.)) "independent of rows and pivots" small_opt
+    large_opt
+
 let prop_minimize_is_negated_maximize =
   QCheck2.Test.make ~count:60 ~name:"min f = -max(-f)"
     QCheck2.Gen.(int_bound 100000)
@@ -344,6 +506,7 @@ let () =
           Alcotest.test_case "zero-rhs ge rewrite" `Quick test_zero_rhs_ge_rewrite;
           Alcotest.test_case "invalid inputs" `Quick test_invalid_inputs;
           Alcotest.test_case "live copy isolation" `Quick test_live_copy_isolation;
+          Alcotest.test_case "optimize allocation" `Quick test_optimize_allocation;
         ] );
       ( "properties",
         [
@@ -352,5 +515,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_live_matches_cold;
           QCheck_alcotest.to_alcotest prop_add_cut_matches_cold;
           QCheck_alcotest.to_alcotest prop_live_replay_bit_equal;
+          QCheck_alcotest.to_alcotest prop_fork_matches_copy;
         ] );
     ]

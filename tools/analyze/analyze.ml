@@ -37,13 +37,26 @@
            into functions that are neither [@indq.alloc_free]-annotated,
            %-primitives, [@@noalloc] externals nor whitelisted
            (Stdlib.invalid_arg — the audited caller-bug guard idiom,
-           cold by construction), float returns across non-[@inline]
-           annotated calls (the result is boxed), float stores into
+           cold by construction), float returns across annotated calls
+           that are not [@inline] or that cross a compilation-unit
+           boundary (the result is boxed — see below), non-literal float
+           arguments to annotated calls across a compilation-unit
+           boundary (boxed the same way), float stores into
            non-float-record mutable fields or captured refs, and float
            reads out of float records.  Local [let r = ref …] accumulators
            are allowed — the backend unboxes non-escaping refs — but an
            accumulator escaping as an argument to a non-primitive call is
            reported because that defeats the unboxing.
+
+           The unit boundary matters because dune's dev profile (the one CI
+           and the benches build) compiles with [-opaque]: a caller sees no
+           implementation of any other compilation unit, so [@inline] on
+           [Vec.get] cannot cross into [Lp], and every float such a call
+           returns is boxed on the minor heap.  Only same-unit [@inline]
+           callees are trusted to return unboxed floats; kernels outside
+           lib/linalg read floats through [Vec.buffer]/[Mat.buffer] with
+           the Bigarray primitives, which compile to plain loads in every
+           profile.
 
    ANA003  attribute grammar.  [@indq.alloc_free]/[@indq.domain_safe]/
            [@indq.alloc_ok] payloads must be a single non-empty string
@@ -60,7 +73,9 @@
    `prune.sweep_minor_words` bench probe): boxed-integer intermediates
    (Int64 read out of a Bigarray then [Int64.to_int]) are treated as free
    because cmmgen fuses the box/unbox pair; [@inline] is trusted without
-   proving the backend actually inlines; toplevel mutables built by
+   proving the backend actually inlines, and float arguments to
+   same-unit annotated calls are not reported (the backend may inline
+   them); toplevel mutables built by
    function calls (not literal record/ref/creation syntax) whose type head
    is not one of the known mutable containers are not classified. *)
 
@@ -208,7 +223,8 @@ type acc = {
   uses : (string, bool) Hashtbl.t;
   mutable seeds : SSet.t;     (* refs appearing in parallel_map arguments *)
   mutable spawners : SSet.t;  (* toplevel bindings containing a parallel_map *)
-  annotated : (string, bool) Hashtbl.t;  (* canon -> has [@inline] *)
+  annotated : (string, bool * string list) Hashtbl.t;
+      (* canon -> (has [@inline], compilation unit of the definition) *)
   mutable findings : finding list;
 }
 
@@ -346,7 +362,8 @@ let scan_module acc ~modname ~file (str : Typedtree.structure) : menv =
         | Error m -> emit acc ~file a.attr_loc "ANA003" m);
         (* Register even when the payload is malformed so transitive
            ANA002 checking still works; ANA003 reports the payload. *)
-        Hashtbl.replace acc.annotated cname (has_inline attrs)
+        Hashtbl.replace acc.annotated cname
+          (has_inline attrs, split_dunder modname)
       | None -> ());
       let body = vb.vb_expr in
       let dls_refs =
@@ -452,7 +469,9 @@ type ctx = {
   local_refs : (string, unit) Hashtbl.t;  (* unboxable local accumulators *)
 }
 
-let check_module acc ~file ~(menv : menv) (str : Typedtree.structure) =
+let check_module acc ~modname ~file ~(menv : menv)
+    (str : Typedtree.structure) =
+  let unit_name = split_dunder modname in
   let resolve id = Hashtbl.find_opt menv (Ident.unique_name id) in
   let canon p = canon_path ~resolve p in
   (* Local [@indq.alloc_free] bindings, by stamp. *)
@@ -644,17 +663,48 @@ let check_module acc ~file ~(menv : menv) (str : Typedtree.structure) =
           match p with
           | Path.Pident id
             when Hashtbl.mem local_annot (Ident.unique_name id) ->
-            Some (Hashtbl.find local_annot (Ident.unique_name id))
+            Some (Hashtbl.find local_annot (Ident.unique_name id), unit_name)
           | _ -> Hashtbl.find_opt acc.annotated c
         in
         (match annotated_info with
-        | Some inline ->
-          if is_float_ty ~resolve e.exp_type && not inline then
-            report
-              (Printf.sprintf
-                 "%s returns float across a non-[@inline] call boundary; \
-                  the result is boxed"
-                 c)
+        | Some (inline, callee_unit) ->
+          let cross_unit = callee_unit <> unit_name in
+          (* Arguments box the same way across the boundary; a literal
+             is a static constant and costs nothing. *)
+          if cross_unit then
+            List.iter
+              (fun (_, a) ->
+                match a with
+                | Some (a : Typedtree.expression)
+                  when is_float_ty ~resolve a.exp_type
+                       && (match a.exp_desc with
+                          | Texp_constant _ -> false
+                          | _ -> true) ->
+                  report ~loc:a.exp_loc
+                    (Printf.sprintf
+                       "float argument to %s crosses a compilation-unit \
+                        boundary; under -opaque the call is never inlined, \
+                        so the argument is boxed — pass an index and let \
+                        the callee read the float"
+                       c)
+                | _ -> ())
+              args;
+          if is_float_ty ~resolve e.exp_type then begin
+            if cross_unit then
+              report
+                (Printf.sprintf
+                   "%s returns float across a compilation-unit boundary; \
+                    under -opaque (dune's dev profile) the call is never \
+                    inlined, so the result is boxed — read through the \
+                    flat buffer instead"
+                   c)
+            else if not inline then
+              report
+                (Printf.sprintf
+                   "%s returns float across a non-[@inline] call boundary; \
+                    the result is boxed"
+                   c)
+          end
         | None ->
           if not (List.mem c builtin_allow) then
             report
@@ -783,7 +833,9 @@ let run (inputs : input list) : finding list * stats =
   in
   let _reachable = finalize acc in
   List.iter
-    (fun (i, menv) -> check_module acc ~file:i.in_file ~menv i.in_structure)
+    (fun (i, menv) ->
+      check_module acc ~modname:i.in_modname ~file:i.in_file ~menv
+        i.in_structure)
     menvs;
   let mutables =
     Hashtbl.fold (fun _ n k -> if n.n_mut <> None then k + 1 else k) acc.nodes 0
