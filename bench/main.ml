@@ -257,7 +257,7 @@ let run_ablation_skyline () =
   in
   let t =
     Tabulate.create ~title:"c-skyline implementations, seconds (result size)"
-      ~columns:[ "dataset"; "SFS"; "sweep-2D"; "R-tree"; "BNL (n<=3000)" ]
+      ~columns:[ "dataset"; "sweep-2D"; "store"; "BNL (n<=3000)" ]
   in
   List.iter
     (fun (label, data) ->
@@ -266,19 +266,18 @@ let run_ablation_skyline () =
         Printf.sprintf "%.3f (%d)" secs (Dataset.size result)
       in
       let c = 1.05 in
-      let sfs = time (fun () -> Skyline.c_skyline_sfs ~c data) in
       let sweep =
         if Dataset.dim data = 2 then
           time (fun () -> Skyline.c_skyline_sweep_2d ~c data)
         else "n/a"
       in
-      let rtree = time (fun () -> Skyline.c_skyline_rtree ~c data) in
+      let store = time (fun () -> Skyline.c_skyline_store ~c data) in
       let bnl =
         if Dataset.size data <= 3000 then
           time (fun () -> Skyline.c_skyline_bnl ~c data)
         else "skipped"
       in
-      Tabulate.add_row t [ label; sfs; sweep; rtree; bnl ])
+      Tabulate.add_row t [ label; sweep; store; bnl ])
     cases;
   Tabulate.print t
 

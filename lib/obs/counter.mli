@@ -31,7 +31,8 @@
       witnesses revalidated by dot products);
     - ["region.halfspaces"] — hyperplane cuts applied to feasible regions;
     - ["oracle.questions"] — rounds asked of the user;
-    - ["rtree.nodes_visited"] — R-tree nodes touched by queries. *)
+    - ["rtree.nodes_visited"] — STR-tree nodes touched by the c-skyline
+      filter's dominance probes. *)
 
 type t
 (** A counter handle. *)

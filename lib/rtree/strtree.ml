@@ -5,10 +5,9 @@
    [j*fanout ..] of the level below).  A 10^7-point tree is a handful of
    allocations, and builds in a few sorting passes.
 
-   Counter names are shared with the pointer-based {!Rtree}
-   ([Counter.make]/[Histogram.make] are idempotent per name), so bench
-   cells see one [rtree.nodes_visited] stream regardless of which index
-   served the query. *)
+   The counters keep their [rtree.*] names (the perf gate and bench
+   reports key on them); this is the only spatial index that feeds
+   them. *)
 
 module Counter = Indq_obs.Counter
 module Histogram = Indq_obs.Histogram
@@ -58,13 +57,18 @@ let int_kth_root_ceil ~k pages =
   done;
   !s
 
-(* Sort order[lo..hi) by coordinate [axis] of the rows it names. *)
+(* Sort order[lo..hi) by coordinate [axis] of the rows it names.  The
+   comparator reads the Bigarray directly: [Vec.get] lives in another
+   compilation unit, so each of its reads would return a boxed float. *)
 let sort_range data ~dim order lo hi axis =
   let len = hi - lo in
   let tmp = Array.sub order lo len in
+  let buf = Vec.buffer data in
   Array.sort
     (fun i j ->
-      Float.compare (Vec.get data ((i * dim) + axis)) (Vec.get data ((j * dim) + axis)))
+      Float.compare
+        (Bigarray.Array1.get buf ((i * dim) + axis))
+        (Bigarray.Array1.get buf ((j * dim) + axis)))
     tmp;
   Array.blit tmp 0 order lo len
 

@@ -107,14 +107,14 @@ let random_dataset rng =
   | 1 -> Generator.correlated rng ~n ~d
   | _ -> Generator.anti_correlated rng ~n ~d
 
-let prop_sfs_equals_bnl =
-  QCheck2.Test.make ~count:80 ~name:"SFS c-skyline = BNL c-skyline"
+let prop_c_skyline_equals_bnl =
+  QCheck2.Test.make ~count:80 ~name:"dispatched c-skyline = BNL"
     QCheck2.Gen.(int_bound 100000)
     (fun seed ->
       let rng = Rng.create seed in
       let data = random_dataset rng in
       let c = 1. +. Rng.float rng 0.3 in
-      ids (Skyline.c_skyline_sfs ~c data) = ids (Skyline.c_skyline_bnl ~c data))
+      ids (Skyline.c_skyline ~c data) = ids (Skyline.c_skyline_bnl ~c data))
 
 let prop_skyline_members_undominated =
   QCheck2.Test.make ~count:60 ~name:"skyline members are undominated"
@@ -140,15 +140,6 @@ let prop_c_skyline_monotone_in_c =
       (* Larger c makes c-domination harder, so the c-skyline grows:
          s1 ⊆ s2. *)
       List.for_all (fun id -> List.mem id s2) s1)
-
-let prop_rtree_equals_bnl =
-  QCheck2.Test.make ~count:60 ~name:"R-tree c-skyline = BNL"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let data = random_dataset rng in
-      let c = 1. +. Rng.float rng 0.3 in
-      ids (Skyline.c_skyline_rtree ~c data) = ids (Skyline.c_skyline_bnl ~c data))
 
 (* --- persisted skyline artifacts --- *)
 
@@ -236,26 +227,42 @@ let prop_sweep_2d_equals_bnl =
       let c = if Rng.bool rng then 1. else 1. +. Rng.float rng 0.3 in
       ids (Skyline.c_skyline_sweep_2d ~c data) = ids (Skyline.c_skyline_bnl ~c data))
 
-let test_rtree_path_counts_nodes () =
-  (* BENCH_003.json showed rtree.nodes_visited = 0: the c_skyline
-     dispatcher only takes the R-tree path above 50_000 tuples (see
-     skyline.ml), and the -quick bench datasets are all smaller, so the
-     counter is reachable-but-idle there.  Exercise the indexed path
-     directly and pin that it really does account its node traffic. *)
+let test_dispatch_paths () =
+  (* c_skyline has two branches: the plane sweep for d = 2, the STR-tree
+     probe for every other dimension, at any size. *)
+  let get = Indq_obs.Counter.get in
+  let bumps f =
+    let sweep = get "skyline.path_sweep"
+    and store = get "skyline.path_store"
+    and nodes = get "rtree.nodes_visited" in
+    f ();
+    ( get "skyline.path_sweep" -. sweep,
+      get "skyline.path_store" -. store,
+      get "rtree.nodes_visited" -. nodes )
+  in
   let rng = Rng.create 515 in
-  let data = random_dataset rng in
-  let before = Indq_obs.Counter.get "rtree.nodes_visited" in
-  let s = ids (Skyline.c_skyline_rtree ~c:1.05 data) in
-  Alcotest.(check bool) "skyline nonempty" true (s <> []);
-  Alcotest.(check bool) "rtree.nodes_visited incremented" true
-    (Indq_obs.Counter.get "rtree.nodes_visited" > before);
-  (* The generic entry point leaves the counter untouched below the
-     dispatch threshold — the observed-zero is by design, not a broken
-     wire. *)
-  let mid = Indq_obs.Counter.get "rtree.nodes_visited" in
-  ignore (Skyline.c_skyline ~c:1.05 data);
-  Alcotest.(check (float 0.)) "small inputs skip the index" mid
-    (Indq_obs.Counter.get "rtree.nodes_visited")
+  let sweep, store, nodes =
+    bumps (fun () ->
+        ignore
+          (Skyline.c_skyline ~c:1.05
+             (Generator.anti_correlated rng ~n:700 ~d:2)))
+  in
+  Alcotest.(check (float 0.)) "2-D: one sweep" 1. sweep;
+  Alcotest.(check (float 0.)) "2-D: no store path" 0. store;
+  Alcotest.(check (float 0.)) "2-D: no index probes" 0. nodes;
+  List.iter
+    (fun (d, n) ->
+      (* c = 1 keeps every point inside the data envelope, so even a
+         single row is probed against the index. *)
+      let data = Generator.independent rng ~n ~d in
+      let sweep, store, nodes =
+        bumps (fun () -> ignore (Skyline.c_skyline ~c:1. data))
+      in
+      let case = Printf.sprintf "d=%d n=%d" d n in
+      Alcotest.(check (float 0.)) (case ^ ": no sweep") 0. sweep;
+      Alcotest.(check (float 0.)) (case ^ ": one store path") 1. store;
+      Alcotest.(check bool) (case ^ ": index probed") true (nodes > 0.))
+    [ (1, 1); (1, 600); (3, 1); (3, 600); (4, 1); (4, 600) ]
 
 let test_sweep_2d_dimension_guard () =
   let data = Dataset.create [| [| 1.; 2.; 3. |] |] in
@@ -295,8 +302,8 @@ let () =
           Alcotest.test_case "empty dataset" `Quick test_empty_dataset;
           Alcotest.test_case "is dominated by any" `Quick test_is_dominated_by_any;
           Alcotest.test_case "sweep 2d guard" `Quick test_sweep_2d_dimension_guard;
-          Alcotest.test_case "rtree path counts nodes" `Quick
-            test_rtree_path_counts_nodes;
+          Alcotest.test_case "dispatch picks sweep or store" `Quick
+            test_dispatch_paths;
           Alcotest.test_case "k-skyband" `Quick test_k_skyband;
         ] );
       ( "artifact",
@@ -307,9 +314,8 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_sfs_equals_bnl;
+          QCheck_alcotest.to_alcotest prop_c_skyline_equals_bnl;
           QCheck_alcotest.to_alcotest prop_sweep_2d_equals_bnl;
-          QCheck_alcotest.to_alcotest prop_rtree_equals_bnl;
           QCheck_alcotest.to_alcotest prop_store_equals_bnl;
           QCheck_alcotest.to_alcotest prop_skyline_members_undominated;
           QCheck_alcotest.to_alcotest prop_c_skyline_monotone_in_c;

@@ -6,8 +6,8 @@
 
    Critical counters (default: lp.iterations and lp.dual_pivots — the LP
    work the dual-simplex refactor exists to reduce — plus
-   rtree.nodes_visited and the skyline.path_* dispatch counters from the
-   columnar data tier) hard-fail when present on only one side, so a
+   rtree.nodes_visited and the two skyline.path_* dispatch counters from
+   the columnar data tier) hard-fail when present on only one side, so a
    stale baseline cannot un-gate them.
 
    Exit codes: 0 clean (improvements and notes allowed), 1 regression or
@@ -24,14 +24,12 @@ let default_critical =
   [
     "lp.iterations";
     "lp.dual_pivots";
-    (* The columnar-tier wins: R-tree traversal volume and the skyline
-       path dispatch (sweep / SFS / rtree / store).  Critical for the
-       same reason as the LP pair — losing one from a report means the
-       optimization it measures silently stopped being exercised. *)
+    (* The columnar-tier wins: STR-tree traversal volume and the skyline
+       dispatch (2-D sweep / store).  Critical for the same reason as the
+       LP pair — losing one from a report means the optimization it
+       measures silently stopped being exercised. *)
     "rtree.nodes_visited";
     "skyline.path_sweep";
-    "skyline.path_sfs";
-    "skyline.path_rtree";
     "skyline.path_store";
     (* The dynamic half of the ANA002 allocation-freedom story: minor
        words allocated inside the [@indq.alloc_free] flat-sweep kernel.
